@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -224,22 +225,21 @@ func parseEscapeLine(dir, line string) (escapeDiag, bool) {
 	if strings.HasPrefix(subject, `"`) {
 		return escapeDiag{}, false // message constant on an inlined cold path
 	}
-	// Keep the path as printed; containingHotFunc suffix-matches it
-	// against fset-absolute filenames.
-	return escapeDiag{file: parts[0], line: lineNo, col: col, msg: msg}, true
+	// The compiler prints paths relative to the directory it was run in
+	// ("./core.go"); resolve them so they compare equal to the fset's
+	// absolute filenames.
+	file := parts[0]
+	if !filepath.IsAbs(file) {
+		file = filepath.Join(dir, file)
+	}
+	return escapeDiag{file: file, line: lineNo, col: col, msg: msg}, true
 }
 
 // containingHotFunc returns the annotated function covering file:line.
-// The compiler prints file paths relative to a directory it chooses (the
-// module root in practice), so the match is by path suffix against the
-// annotated function's fset-absolute filename.
 func containingHotFunc(hot []hotFunc, file string, line int) *hotFunc {
 	for i := range hot {
 		h := &hot[i]
-		if line < h.startLine || line > h.endLine {
-			continue
-		}
-		if h.file == file || strings.HasSuffix(h.file, "/"+file) {
+		if h.file == file && line >= h.startLine && line <= h.endLine {
 			return h
 		}
 	}

@@ -137,7 +137,7 @@ func (c *Classifier) rankNodes(sc *reqlog.StageClock, partID string, features []
 // ScoredNode is one best-scored candidate node, pre-deduplication: the
 // sharded serving tier merges these across partitions before collapsing to
 // codes, so the merge ranks exactly like a single-store ranking. The node
-// ID is the global tie-breaker (kb.Subset preserves IDs).
+// ID is the global tie-breaker (shard partitions preserve IDs).
 type ScoredNode struct {
 	ID    int64
 	Code  string
@@ -176,8 +176,8 @@ func (c *Classifier) RecommendNodesTimed(sc *reqlog.StageClock, partID string, f
 //
 //qatk:hotpath
 func CodesFromNodes(nodes []ScoredNode) []ScoredCode {
-	//qatk:allowalloc the dedup set and result list are the function's product, bounded by the node cutoff
 	seen := make(map[string]bool, len(nodes))
+	//qatk:allowalloc the result list is the function's product, bounded by the node cutoff
 	out := make([]ScoredCode, 0, len(nodes))
 	for _, sn := range nodes {
 		if seen[sn.Code] {

@@ -87,7 +87,7 @@ func Persist(db *reldb.DB, m *Memory) error {
 	}
 	sort.Strings(parts)
 	for _, p := range parts {
-		for _, cc := range sortedCounts(m.freq[p]) {
+		for _, cc := range SortedCounts(m.freq[p]) {
 			tx.Insert(TableCodeFreq, reldb.Row{nil, p, cc.Code, int64(cc.Count)})
 		}
 	}
@@ -223,13 +223,13 @@ func (s *DBStore) CodeFrequencies(partID string) []CodeCount {
 		for _, row := range res.Rows {
 			agg[row[2].(string)] += int(row[3].(int64))
 		}
-		return sortedCounts(agg)
+		return SortedCounts(agg)
 	}
 	counts := make(map[string]int, len(res.Rows))
 	for _, row := range res.Rows {
 		counts[row[2].(string)] += int(row[3].(int64))
 	}
-	return sortedCounts(counts)
+	return SortedCounts(counts)
 }
 
 var _ Store = (*Memory)(nil)

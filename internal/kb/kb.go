@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"hash/fnv"
 	"sort"
 	"strings"
 )
@@ -32,8 +33,8 @@ type Store interface {
 	// with the same part ID sharing at least one feature with the query.
 	// If the part ID is unknown, all nodes are returned.
 	Candidates(partID string, features []string) []*Node
-	// AllNodes returns every node (used by the candidate-set fallback and
-	// diagnostics).
+	// AllNodes returns every node in a fresh slice the caller owns (used
+	// by the candidate-set fallback and diagnostics).
 	AllNodes() []*Node
 	// CodeFrequencies returns the error codes recorded for a part sorted
 	// by descending data-bundle frequency (ties by code); for an unknown
@@ -83,21 +84,53 @@ func (m *Memory) AddBundle(partID, errorCode string, features []string) *Node {
 	pf[errorCode]++
 	m.global[errorCode]++
 
-	sig := partID + "\x00" + errorCode + "\x00" + strings.Join(features, "\x01")
+	sig := signature(partID, errorCode, features)
 	if idx, ok := m.dedup[sig]; ok {
 		return m.nodes[idx]
 	}
 	n := &Node{ID: m.nextID, PartID: partID, ErrorCode: errorCode, Features: features}
 	m.nextID++
+	m.index(n, sig)
+	return n
+}
+
+// Materialize copies src into a new in-memory knowledge base, preserving
+// node IDs and per-part code counts, so a relational store can be served
+// from memory exactly as it answers from disk.
+func Materialize(src Store) *Memory {
+	m := NewMemory()
+	for _, n := range src.AllNodes() {
+		m.index(n, signature(n.PartID, n.ErrorCode, n.Features))
+		m.nextID = max(m.nextID, n.ID+1)
+	}
+	for part := range m.byPart {
+		pf := make(map[string]int)
+		for _, cc := range src.CodeFrequencies(part) {
+			pf[cc.Code] = cc.Count
+			m.global[cc.Code] += cc.Count
+			m.bundles += cc.Count
+		}
+		m.freq[part] = pf
+	}
+	return m
+}
+
+// signature identifies a configuration instance (part, code, features).
+func signature(partID, errorCode string, features []string) string {
+	return partID + "\x00" + errorCode + "\x00" + strings.Join(features, "\x01")
+}
+
+// index appends a new node to the node list, the dedup map and the part
+// and (part, feature) inverted indexes.
+func (m *Memory) index(n *Node, sig string) {
 	idx := int32(len(m.nodes))
 	m.nodes = append(m.nodes, n)
 	m.dedup[sig] = idx
-	m.byPart[partID] = append(m.byPart[partID], idx)
-	for _, f := range features {
-		key := partID + "\x00" + f
+	m.byPart[n.PartID] = append(m.byPart[n.PartID], idx)
+	for _, f := range n.Features {
+		key := n.PartID + "\x00" + f
 		m.byPF[key] = append(m.byPF[key], idx)
 	}
-	return n
 }
 
 // NodeCount implements Store.
@@ -142,10 +175,12 @@ func (m *Memory) CodeFrequencies(partID string) []CodeCount {
 	if len(src) == 0 {
 		src = m.global
 	}
-	return sortedCounts(src)
+	return SortedCounts(src)
 }
 
-func sortedCounts(src map[string]int) []CodeCount {
+// SortedCounts lists code counts in the CodeFrequencies order: descending
+// count, ties by code.
+func SortedCounts(src map[string]int) []CodeCount {
 	out := make([]CodeCount, 0, len(src))
 	for code, n := range src {
 		out = append(out, CodeCount{Code: code, Count: n})
@@ -161,3 +196,17 @@ func sortedCounts(src map[string]int) []CodeCount {
 
 // DistinctCodes reports the number of distinct error codes recorded.
 func (m *Memory) DistinctCodes() int { return len(m.global) }
+
+// PartOwner returns the owning shard of a part ID under n-way partitioning
+// (FNV-1a; stable across processes and restarts, so routing tables never
+// need to be persisted). n <= 1 always owns everything at shard 0. The
+// paper's candidate selection (§4.3/Fig. 5) keys on part ID, so a query
+// for a known part is answered completely by the shard owning that part.
+func PartOwner(partID string, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	h := fnv.New32a()
+	_, _ = h.Write([]byte(partID))
+	return int(h.Sum32() % uint32(n))
+}

@@ -205,6 +205,66 @@ func TestDBStoreMatchesMemory(t *testing.T) {
 	}
 }
 
+// TestMaterializeMatchesSource: materializing a relational store yields a
+// Memory indistinguishable from the one persisted — same node IDs, bundle
+// counts and code frequencies — that keeps deduplicating and numbering
+// nodes where the source left off.
+func TestMaterializeMatchesSource(t *testing.T) {
+	m := memFixture()
+	db, _ := reldb.Open("")
+	if err := CreateTables(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := Persist(db, m); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenDB(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Materialize(s)
+	if !reflect.DeepEqual(got.AllNodes(), m.AllNodes()) {
+		t.Fatalf("nodes = %v, want %v", got.AllNodes(), m.AllNodes())
+	}
+	if got.BundleCount() != m.BundleCount() || got.DistinctCodes() != m.DistinctCodes() {
+		t.Fatalf("bundles/codes = %d/%d, want %d/%d",
+			got.BundleCount(), got.DistinctCodes(), m.BundleCount(), m.DistinctCodes())
+	}
+	for _, part := range []string{"P1", "P2", "P99"} {
+		if !reflect.DeepEqual(got.CodeFrequencies(part), m.CodeFrequencies(part)) {
+			t.Fatalf("%s freqs = %v, want %v", part, got.CodeFrequencies(part), m.CodeFrequencies(part))
+		}
+	}
+	if !reflect.DeepEqual(got.Candidates("P1", []string{"radio"}), m.Candidates("P1", []string{"radio"})) {
+		t.Fatal("candidates differ")
+	}
+	if n := got.AddBundle("P1", "E1", []string{"crackle", "radio"}); n.ID != 1 || got.NodeCount() != 4 {
+		t.Fatalf("duplicate bundle made node %d (%d nodes), want node 1 (4 nodes)", n.ID, got.NodeCount())
+	}
+	if n := got.AddBundle("P3", "E4", []string{"door"}); n.ID != 5 {
+		t.Fatalf("new node ID = %d, want 5", n.ID)
+	}
+}
+
+// TestPartOwnerStable: the partitioning rule is a pure function of the
+// part ID and shard count, and n<=1 collapses to shard 0.
+func TestPartOwnerStable(t *testing.T) {
+	for _, part := range []string{"P000", "P007", "weird part", ""} {
+		for _, n := range []int{1, 2, 4, 7} {
+			a, b := PartOwner(part, n), PartOwner(part, n)
+			if a != b {
+				t.Fatalf("PartOwner(%q,%d) unstable: %d vs %d", part, n, a, b)
+			}
+			if a < 0 || a >= n {
+				t.Fatalf("PartOwner(%q,%d) = %d out of range", part, n, a)
+			}
+		}
+		if PartOwner(part, 0) != 0 || PartOwner(part, -3) != 0 {
+			t.Fatalf("PartOwner(%q, n<=1) must be 0", part)
+		}
+	}
+}
+
 func TestOpenDBRequiresSchema(t *testing.T) {
 	db, _ := reldb.Open("")
 	if _, err := OpenDB(db); err == nil {

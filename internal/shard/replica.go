@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/kb"
@@ -57,117 +56,6 @@ func (r *Router) ReplicaHealth() []ReplicaHealth {
 		}
 	}
 	return out
-}
-
-// replicaStore is shard idx's live view over a replica: the same
-// partition slice kb.Subset materializes, carved on the fly so a re-sync
-// swapping the replica's backing store is picked up on the next call.
-// Node IDs pass through untouched, so rankings served from a replica
-// merge bit-identically with primary-shard rankings.
-type replicaStore struct {
-	t     ReplicaTarget
-	shard int
-	n     int
-}
-
-// view fetches the replica's current store (nil while bootstrapping).
-func (s *replicaStore) view() kb.Store { return s.t.Store() }
-
-// owned reports whether this shard's slice holds partID.
-func (s *replicaStore) owned(partID string) bool {
-	return kb.PartOwner(partID, s.n) == s.shard
-}
-
-// KnownPart implements kb.Store: known iff the part belongs to this
-// shard's slice and the replicated KB holds nodes for it — exactly
-// subsetStore's answer for the same shard.
-func (s *replicaStore) KnownPart(partID string) bool {
-	v := s.view()
-	return v != nil && s.owned(partID) && v.KnownPart(partID)
-}
-
-// Candidates implements kb.Store under the standard contract: the
-// inverted index drives selection for a known part; an unknown part falls
-// back to every node of this shard's slice (the scatter path).
-func (s *replicaStore) Candidates(partID string, features []string) []*kb.Node {
-	v := s.view()
-	if v == nil {
-		return nil
-	}
-	if s.owned(partID) && v.KnownPart(partID) {
-		return v.Candidates(partID, features)
-	}
-	return s.AllNodes()
-}
-
-// AllNodes implements kb.Store: the slice of the replicated KB this shard
-// owns.
-func (s *replicaStore) AllNodes() []*kb.Node {
-	v := s.view()
-	if v == nil {
-		return nil
-	}
-	all := v.AllNodes()
-	out := make([]*kb.Node, 0, len(all))
-	for _, node := range all {
-		if kb.PartOwner(node.PartID, s.n) == s.shard {
-			out = append(out, node)
-		}
-	}
-	return out
-}
-
-// NodeCount implements kb.Store (health/debug only; not on the serving
-// path).
-func (s *replicaStore) NodeCount() int { return len(s.AllNodes()) }
-
-// CodeFrequencies implements kb.Store: a known owned part answers from
-// the replicated frequencies; anything else aggregates over the owned
-// slice, mirroring subsetStore's shard-local view of the world.
-func (s *replicaStore) CodeFrequencies(partID string) []kb.CodeCount {
-	v := s.view()
-	if v == nil {
-		return nil
-	}
-	if s.owned(partID) && v.KnownPart(partID) {
-		return v.CodeFrequencies(partID)
-	}
-	agg := map[string]int{}
-	for _, node := range s.AllNodes() {
-		agg[node.ErrorCode]++
-	}
-	out := make([]kb.CodeCount, 0, len(agg))
-	for code, n := range agg {
-		out = append(out, kb.CodeCount{Code: code, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Code < out[j].Code
-	})
-	return out
-}
-
-// BundleCount implements kb.Store (health/debug only): the owned share of
-// the replicated bundle counts.
-func (s *replicaStore) BundleCount() int {
-	v := s.view()
-	if v == nil {
-		return 0
-	}
-	seen := map[string]bool{}
-	total := 0
-	for _, node := range s.AllNodes() {
-		if seen[node.PartID] {
-			continue
-		}
-		seen[node.PartID] = true
-		for _, cc := range v.CodeFrequencies(node.PartID) {
-			total += cc.Count
-		}
-	}
-	return total
 }
 
 // replicaHandle is one shard's serving wrapper around one replica: a

@@ -37,13 +37,9 @@ var ErrAllShardsFailed = errors.New("shard: all shards failed")
 
 // Config wires a Router.
 type Config struct {
-	// Stores holds one partition per shard (kb.Subset produces them); its
-	// length is the shard count.
+	// Stores holds one partition per shard (PartitionStores produces
+	// them); its length is the shard count.
 	Stores []kb.Store
-	// Sim is the similarity measure (default core.Jaccard{}); NodeCutoff
-	// caps best-scored nodes per shard (0 = core.DefaultNodeCutoff).
-	Sim        core.Similarity
-	NodeCutoff int
 	// WorkersPerShard sizes each shard's serving pool (default 2): the
 	// second worker is what lets a hedged attempt overtake a wedged one.
 	WorkersPerShard int
@@ -159,9 +155,6 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Stores) == 0 {
 		return nil, fmt.Errorf("shard: no stores")
 	}
-	if cfg.Sim == nil {
-		cfg.Sim = core.Jaccard{}
-	}
 	if cfg.WorkersPerShard <= 0 {
 		cfg.WorkersPerShard = DefaultWorkersPerShard
 	}
@@ -182,7 +175,7 @@ func New(cfg Config) (*Router, error) {
 	for i, store := range cfg.Stores {
 		label := obs.L("shard", strconv.Itoa(i))
 		h := &handle{
-			worker:       newWorker(i, store, cfg.Sim, cfg.NodeCutoff, cfg.WorkersPerShard, cfg.Hook),
+			worker:       newWorker(i, store, cfg.WorkersPerShard, cfg.Hook),
 			breaker:      NewBreaker(cfg.BreakerBudget, cfg.BreakerCooldown, cfg.Clock),
 			nodes:        store.NodeCount(),
 			requests:     cfg.Metrics.Counter(MetricShardRequestsTotal, label),
@@ -196,7 +189,7 @@ func New(cfg Config) (*Router, error) {
 			// One single-goroutine worker per shard x replica, over the
 			// shard's live slice of the replicated KB. No fault hook: chaos
 			// on the replication path is injected at the Link.
-			rw := newWorker(i, &replicaStore{t: t, shard: i, n: n}, cfg.Sim, cfg.NodeCutoff, 1, nil)
+			rw := newWorker(i, &partView{source: t.Store, shard: i, n: n}, 1, nil)
 			rw.replica = true
 			h.replicas = append(h.replicas, &replicaHandle{t: t, w: rw})
 		}
@@ -329,12 +322,8 @@ func (r *Router) Query(ctx context.Context, partID string, features []string) (*
 		qerr = fmt.Errorf("%w: part %q", ErrAllShardsFailed, partID)
 		return nil, qerr
 	}
-	cutoff := r.cfg.NodeCutoff
-	if cutoff <= 0 {
-		cutoff = core.DefaultNodeCutoff
-	}
 	t := sc.Start()
-	merged := mergeNodes(lists, cutoff)
+	merged := mergeNodes(lists)
 	t = sc.Lap(reqlog.StageMerge, t)
 	res.Codes = core.CodesFromNodes(merged)
 	sc.Lap(reqlog.StageDedup, t)
@@ -352,15 +341,15 @@ func (r *Router) Query(ctx context.Context, partID string, features []string) (*
 
 // mergeNodes merges per-shard ranked lists into one ranking under the
 // classifier's total order — score descending, then error code, then node
-// ID (globally unique, preserved by kb.Subset) — and applies the node
-// cutoff. Every input list is already cut to the same cutoff and sorted
+// ID (globally unique, preserved by PartitionStores) — and applies the
+// node cutoff. Every input list is already cut to the same cutoff and sorted
 // under the same order, so the merge is deterministic and identical to
 // ranking the union store. The comparator is a total order (node IDs are
 // globally unique), so the unstable generic sort preserves the
 // bit-identical ranking sort.Slice produced.
 //
 //qatk:hotpath
-func mergeNodes(lists [][]core.ScoredNode, cutoff int) []core.ScoredNode {
+func mergeNodes(lists [][]core.ScoredNode) []core.ScoredNode {
 	total := 0
 	for _, l := range lists {
 		total += len(l)
@@ -379,8 +368,8 @@ func mergeNodes(lists [][]core.ScoredNode, cutoff int) []core.ScoredNode {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	if len(merged) > cutoff {
-		merged = merged[:cutoff]
+	if len(merged) > core.DefaultNodeCutoff {
+		merged = merged[:core.DefaultNodeCutoff]
 	}
 	return merged
 }

@@ -115,19 +115,36 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestMergeNodesDeterministic: the merge order is total — score
-// descending, then code, then node ID — and the cutoff applies after the
-// merge.
+// descending, then code, then node ID — and the node cutoff applies
+// after the merge.
 func TestMergeNodesDeterministic(t *testing.T) {
 	a := []core.ScoredNode{{ID: 4, Code: "E2", Score: 0.9}, {ID: 1, Code: "E1", Score: 0.5}}
 	b := []core.ScoredNode{{ID: 3, Code: "E1", Score: 0.9}, {ID: 2, Code: "E3", Score: 0.5}}
-	got := mergeNodes([][]core.ScoredNode{a, b}, 3)
+	got := mergeNodes([][]core.ScoredNode{a, b})
 	want := []core.ScoredNode{
 		{ID: 3, Code: "E1", Score: 0.9}, // score ties break by code...
 		{ID: 4, Code: "E2", Score: 0.9},
 		{ID: 1, Code: "E1", Score: 0.5}, // ...then by node ID
+		{ID: 2, Code: "E3", Score: 0.5},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("merge = %v, want %v", got, want)
+	}
+
+	// Two full shard lists merge down to the classifier's node cutoff,
+	// keeping the best-scored nodes of both.
+	full := make([][]core.ScoredNode, 2)
+	for i := 0; i < 2*core.DefaultNodeCutoff; i++ {
+		full[i%2] = append(full[i%2], core.ScoredNode{ID: int64(i), Code: "E1", Score: 1 / float64(i+1)})
+	}
+	got = mergeNodes(full)
+	if len(got) != core.DefaultNodeCutoff {
+		t.Fatalf("merged %d nodes, want the cutoff %d", len(got), core.DefaultNodeCutoff)
+	}
+	for i, sn := range got {
+		if sn.ID != int64(i) {
+			t.Fatalf("merged[%d] = node %d, want node %d", i, sn.ID, i)
+		}
 	}
 }
 

@@ -77,11 +77,11 @@ type worker struct {
 }
 
 // newWorker builds and starts one shard with `pool` serving goroutines.
-func newWorker(id int, store kb.Store, sim core.Similarity, cutoff, pool int, hook FaultHook) *worker {
+func newWorker(id int, store kb.Store, pool int, hook FaultHook) *worker {
 	w := &worker{
 		id:    id,
 		idStr: strconv.Itoa(id),
-		clf:   &core.Classifier{Store: store, Sim: sim, NodeCutoff: cutoff},
+		clf:   core.New(store, core.Jaccard{}),
 		reqs:  make(chan request),
 		hook:  hook,
 		quit:  make(chan struct{}),
