@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/kb"
 )
 
@@ -97,7 +98,8 @@ func TestHedgeCancelsLosingAttempt(t *testing.T) {
 		t.Errorf("losing attempt ctx.Err() = %v, want context.Canceled", err)
 	}
 
-	// Closing the router must reclaim every worker and attempt goroutine.
+	// Once the query has returned and the router is closed, every attempt
+	// goroutine — the cancelled loser included — must have exited.
 	r.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -108,5 +110,54 @@ func TestHedgeCancelsLosingAttempt(t *testing.T) {
 			t.Fatalf("goroutine leak: %d before, %d after close", before, n)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestHedgesDoNotQueueBehindWedgedAttempts: a shard has no serving pool
+// for wedged attempts to exhaust. With every first attempt wedged until
+// its deadline, each of several concurrent queries must still be
+// answered by its own hedge after HedgeAfter, not after ShardTimeout.
+func TestHedgesDoNotQueueBehindWedgedAttempts(t *testing.T) {
+	const (
+		hedgeAfter   = 5 * time.Millisecond
+		shardTimeout = 300 * time.Millisecond
+		queries      = 4
+	)
+	src := buildKB(5, 12, 10, 250)
+	wedge := faults.ShardFault{Mode: faults.ShardWedge, FirstAttempts: 1}
+	r := newTestRouter(t, src, 2, func(cfg *Config) {
+		cfg.HedgeAfter = hedgeAfter
+		cfg.ShardTimeout = shardTimeout
+		cfg.Hook = faults.ShardHook(map[int]faults.ShardFault{0: wedge, 1: wedge})
+	})
+	part := "P004"
+	if !src.KnownPart(part) {
+		t.Fatalf("fixture part %s not in knowledge base", part)
+	}
+
+	type outcome struct {
+		res     *Result
+		err     error
+		elapsed time.Duration
+	}
+	out := make(chan outcome, queries)
+	for i := 0; i < queries; i++ {
+		go func() {
+			start := time.Now()
+			res, err := r.Query(context.Background(), part, []string{"f03", "f11", "f27"})
+			out <- outcome{res, err, time.Since(start)}
+		}()
+	}
+	for i := 0; i < queries; i++ {
+		o := <-out
+		if o.err != nil {
+			t.Fatalf("query: %v", o.err)
+		}
+		if !o.res.Hedged || o.res.Degraded {
+			t.Errorf("query hedged=%v degraded=%v, want hedged and not degraded", o.res.Hedged, o.res.Degraded)
+		}
+		if o.elapsed >= shardTimeout/2 {
+			t.Errorf("query took %v: the hedge waited behind wedged attempts (ShardTimeout %v)", o.elapsed, shardTimeout)
+		}
 	}
 }

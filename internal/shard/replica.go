@@ -59,7 +59,7 @@ func (r *Router) ReplicaHealth() []ReplicaHealth {
 }
 
 // replicaHandle is one shard's serving wrapper around one replica: a
-// single-goroutine worker over the shard's live slice of that replica.
+// worker over the shard's live slice of that replica.
 type replicaHandle struct {
 	t ReplicaTarget
 	w *worker

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kb"
 	"repro/internal/obs"
+	"repro/internal/obs/reqlog"
 )
 
 // fakeReplica is a canned ReplicaTarget serving the full KB with a fixed
@@ -101,7 +102,7 @@ func TestHedgeAvoidsStaleReplica(t *testing.T) {
 		t.Fatalf("query: %v", err)
 	}
 	// The only replica lags beyond the bound, so the hedge must fall back
-	// to the shard's own second worker — not quietly serve stale.
+	// to a second attempt on the shard itself — not quietly serve stale.
 	if !res.Hedged {
 		t.Fatal("expected a hedged answer")
 	}
@@ -121,7 +122,16 @@ func TestRescueServesStaleWithFlag(t *testing.T) {
 	})
 	single := core.New(src, core.Jaccard{})
 	part, feats := "P002", []string{"f03", "f07", "f11"}
-	res, err := r.Query(context.Background(), part, feats)
+	// A request budget below ShardTimeout: the rescue's wide-event record
+	// must carry the effective deadline, not the configured timeout.
+	const budget = DefaultShardTimeout / 2
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	rl := reqlog.New(reqlog.Config{SampleAll: true})
+	b := rl.Begin("TEST", t.Name())
+	ctx = reqlog.NewContext(ctx, b)
+	res, err := r.Query(ctx, part, feats)
+	b.Finish(200, 1, 0)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -136,6 +146,26 @@ func TestRescueServesStaleWithFlag(t *testing.T) {
 	}
 	if got := r.stale.Value(); got == 0 {
 		t.Fatal("stale responses counter never advanced")
+	}
+
+	events := rl.Snapshot()
+	if len(events) != 1 {
+		t.Fatalf("retained %d wide events, want 1", len(events))
+	}
+	var rescue *reqlog.ShardAttempt
+	for i, a := range events[0].Shards {
+		if a.Attempt == 3 {
+			rescue = &events[0].Shards[i]
+		}
+	}
+	if rescue == nil {
+		t.Fatalf("no attempt-3 rescue record in %+v", events[0].Shards)
+	}
+	if rescue.Deadline <= 0 || rescue.Deadline > budget {
+		t.Errorf("rescue deadline = %v, want in (0, %v]", rescue.Deadline, budget)
+	}
+	if rescue.Hedged || rescue.Replica != "r-stale" || !rescue.Winner {
+		t.Errorf("rescue record = %+v, want hedged=false replica=r-stale winner=true", *rescue)
 	}
 }
 

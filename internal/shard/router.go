@@ -24,7 +24,6 @@ import (
 const (
 	DefaultShardTimeout    = 250 * time.Millisecond
 	DefaultHedgeAfter      = 20 * time.Millisecond
-	DefaultWorkersPerShard = 2
 	DefaultBreakerBudget   = 5
 	DefaultBreakerCooldown = time.Second
 )
@@ -40,9 +39,6 @@ type Config struct {
 	// Stores holds one partition per shard (PartitionStores produces
 	// them); its length is the shard count.
 	Stores []kb.Store
-	// WorkersPerShard sizes each shard's serving pool (default 2): the
-	// second worker is what lets a hedged attempt overtake a wedged one.
-	WorkersPerShard int
 	// ShardTimeout bounds each attempt; the effective per-attempt deadline
 	// is the smaller of ShardTimeout and the request context's remaining
 	// budget (default 250ms).
@@ -107,6 +103,7 @@ type handle struct {
 type Router struct {
 	cfg    Config
 	shards []*handle
+	closed atomic.Bool
 
 	duration *obs.Histogram
 	inflight *obs.Gauge
@@ -150,13 +147,10 @@ type ShardHealth struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// New builds and starts a router over cfg.Stores. Callers must Close it.
+// New builds a router over cfg.Stores. Callers must Close it.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Stores) == 0 {
 		return nil, fmt.Errorf("shard: no stores")
-	}
-	if cfg.WorkersPerShard <= 0 {
-		cfg.WorkersPerShard = DefaultWorkersPerShard
 	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = DefaultShardTimeout
@@ -175,7 +169,7 @@ func New(cfg Config) (*Router, error) {
 	for i, store := range cfg.Stores {
 		label := obs.L("shard", strconv.Itoa(i))
 		h := &handle{
-			worker:       newWorker(i, store, cfg.WorkersPerShard, cfg.Hook),
+			worker:       newWorker(i, store, cfg.Hook),
 			breaker:      NewBreaker(cfg.BreakerBudget, cfg.BreakerCooldown, cfg.Clock),
 			nodes:        store.NodeCount(),
 			requests:     cfg.Metrics.Counter(MetricShardRequestsTotal, label),
@@ -186,10 +180,10 @@ func New(cfg Config) (*Router, error) {
 			replicaReads: cfg.Metrics.Counter(MetricShardReplicaReadsTotal, label),
 		}
 		for _, t := range cfg.Replicas {
-			// One single-goroutine worker per shard x replica, over the
-			// shard's live slice of the replicated KB. No fault hook: chaos
-			// on the replication path is injected at the Link.
-			rw := newWorker(i, &partView{source: t.Store, shard: i, n: n}, 1, nil)
+			// One worker per shard x replica, over the shard's live slice of
+			// the replicated KB. No fault hook: chaos on the replication path
+			// is injected at the Link.
+			rw := newWorker(i, &partView{source: t.Store, shard: i, n: n}, nil)
 			rw.replica = true
 			h.replicas = append(h.replicas, &replicaHandle{t: t, w: rw})
 		}
@@ -201,16 +195,10 @@ func New(cfg Config) (*Router, error) {
 // Shards reports the shard count.
 func (r *Router) Shards() int { return len(r.shards) }
 
-// Close stops every shard's worker pool, replica workers included (the
-// replicas themselves — the apply loops — belong to their owner).
-func (r *Router) Close() {
-	for _, h := range r.shards {
-		h.worker.close()
-		for _, rh := range h.replicas {
-			rh.w.close()
-		}
-	}
-}
+// Close makes every later Query fail with ErrShardClosed; idempotent.
+// In-flight queries finish on their own deadlines (the replicas
+// themselves — the apply loops — belong to their owner).
+func (r *Router) Close() { r.closed.Store(true) }
 
 // Health reports every shard's breaker state and counters.
 func (r *Router) Health() []ShardHealth {
@@ -249,6 +237,9 @@ func (r *Router) Degraded() bool {
 // non-owning shards in a scatter are skipped and the response is marked
 // Degraded. The error return is reserved for a query *no* shard answered.
 func (r *Router) Query(ctx context.Context, partID string, features []string) (*Result, error) {
+	if r.closed.Load() {
+		return nil, ErrShardClosed
+	}
 	start := time.Now()
 	r.inflight.Add(1)
 	span := r.cfg.Tracer.Start(nil, spanShardQuery, obs.L("part", partID))
@@ -381,6 +372,17 @@ type attemptOut struct {
 	err     error
 }
 
+// subQuery is one shard's share of a Query: what every attempt on that
+// shard runs and records.
+type subQuery struct {
+	parent   *obs.Span
+	idx      int
+	partID   string
+	features []string
+	scatter  bool
+	bstate   string // breaker state at admission (wide events only)
+}
+
 // queryShard runs one robust sub-query against shard idx: breaker
 // admission, a per-attempt deadline derived from the request budget, and
 // a hedged second attempt after HedgeAfter (first-response-wins, the
@@ -394,76 +396,34 @@ type attemptOut struct {
 func (r *Router) queryShard(ctx context.Context, parent *obs.Span, idx int, partID string, features []string, scatter bool) (response, bool, error) {
 	h := r.shards[idx]
 	h.requests.Inc()
-	// The wide-event builder rides the request context; everything it needs
-	// beyond the attempt outcome itself (breaker state at admission, the
-	// effective deadline) is computed only when request logging is on.
+	q := &subQuery{parent: parent, idx: idx, partID: partID, features: features, scatter: scatter}
+	// The wide-event builder rides the request context; the breaker state
+	// at admission is read only when request logging is on.
 	rb := reqlog.From(ctx)
-	var bstate string
 	if rb != nil {
-		bstate = h.breaker.State()
+		q.bstate = h.breaker.State()
 	}
 	if !h.breaker.Allow() {
 		h.failures.Inc()
-		rb.Attempt(reqlog.ShardAttempt{Shard: idx, Breaker: bstate, Err: ErrShardBroken.Error()})
-		if out, ok := r.rescue(ctx, parent, h, idx, partID, features, scatter, bstate); ok {
+		rb.Attempt(reqlog.ShardAttempt{Shard: idx, Breaker: q.bstate, Err: ErrShardBroken.Error()})
+		if out, ok := r.rescue(ctx, h, q); ok {
 			return out, false, nil
 		}
 		return response{}, false, fmt.Errorf("%w: shard %d", ErrShardBroken, idx)
 	}
 
+	// Both attempts run under one cancellable child of the request context:
+	// returning cancels it, which stops the losing attempt.
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	outc := make(chan attemptOut, 2)
-	cancels := make([]context.CancelFunc, 0, 2)
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
-	launch := func(attempt int, w *worker, replicaID string) {
-		actx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-		cancels = append(cancels, cancel)
-		spanLabels := []obs.Label{
-			obs.L("shard", strconv.Itoa(idx)),
-			obs.L("attempt", strconv.Itoa(attempt)),
-		}
-		if replicaID != "" {
-			spanLabels = append(spanLabels, obs.L("replica", replicaID))
-		}
-		span := r.cfg.Tracer.Start(parent, spanShardAttempt, spanLabels...)
-		var astart time.Time
-		var deadline time.Duration
-		if rb != nil {
-			astart = time.Now()
-			deadline = r.cfg.ShardTimeout
-			if d, ok := ctx.Deadline(); ok {
-				if rem := time.Until(d); rem < deadline {
-					deadline = rem
-				}
-			}
-		}
+	launch := func(n int, rh *replicaHandle) {
 		go func() {
-			out, err := w.query(actx, partID, features, scatter, attempt)
-			if err == nil && replicaID != "" {
-				out.replica = true
-			}
-			span.End(err)
-			// Record the attempt before handing the outcome to the select
-			// loop, so a winning attempt is already in the event when the
-			// loop marks it. A cancelled loser records its cancellation; a
-			// loser drained after Finish is harmlessly dropped.
-			if rb != nil {
-				a := reqlog.ShardAttempt{
-					Shard: idx, Attempt: attempt, Hedged: attempt > 1, Replica: replicaID,
-					Breaker: bstate, Deadline: deadline, Duration: time.Since(astart),
-				}
-				if err != nil {
-					a.Err = err.Error()
-				}
-				rb.Attempt(a)
-			}
-			outc <- attemptOut{attempt: attempt, out: out, err: err}
+			out, err := r.attempt(actx, q, n, rh)
+			outc <- attemptOut{attempt: n, out: out, err: err}
 		}()
 	}
-	launch(1, h.worker, "")
+	launch(1, nil)
 
 	var hedgeC <-chan time.Time
 	if r.cfg.HedgeAfter > 0 {
@@ -478,16 +438,16 @@ func (r *Router) queryShard(ctx context.Context, parent *obs.Span, idx int, part
 		hedgeC = nil
 		hedged = true
 		h.hedges.Inc()
-		// A fresh replica beats the shard's own second worker as the hedge
-		// target: it cannot be wedged on the same state the primary attempt
-		// is stuck on. Staleness beyond the bound disqualifies — hedges
-		// must not quietly trade latency for freshness.
-		if rh, _ := r.pickReplica(h, true); rh != nil {
+		// A fresh replica beats a second attempt on the shard itself as
+		// the hedge target: it cannot be wedged on the same state the
+		// primary attempt is stuck on. Staleness beyond the bound
+		// disqualifies — hedges must not quietly trade latency for
+		// freshness.
+		rh, _ := r.pickReplica(h, true)
+		if rh != nil {
 			h.replicaReads.Inc()
-			launch(2, rh.w, rh.t.ID())
-		} else {
-			launch(2, h.worker, "")
 		}
+		launch(2, rh)
 		pending++
 	}
 	for {
@@ -497,11 +457,8 @@ func (r *Router) queryShard(ctx context.Context, parent *obs.Span, idx int, part
 		case ao := <-outc:
 			pending--
 			if ao.err == nil {
-				// First response wins: cancel the loser (its context) and
-				// let its goroutine drain into the buffered channel.
-				for _, cancel := range cancels {
-					cancel()
-				}
+				// First response wins; the deferred cancel stops the loser,
+				// whose goroutine drains into the buffered channel.
 				if ao.attempt == 2 {
 					h.hedgeWins.Inc()
 				}
@@ -520,17 +477,64 @@ func (r *Router) queryShard(ctx context.Context, parent *obs.Span, idx int, part
 				continue
 			}
 			ferr := r.shardFailed(ctx, h, idx, ao.err)
-			if out, ok := r.rescue(ctx, parent, h, idx, partID, features, scatter, bstate); ok {
+			if out, ok := r.rescue(ctx, h, q); ok {
 				return out, hedged, nil
 			}
 			return response{}, hedged, ferr
 		case <-ctx.Done():
 			// The request budget expired; attempt contexts are children
-			// of ctx, so the workers unwind on their own — and there is no
-			// budget left to spend on a rescue.
+			// of ctx, so the attempts unwind on their own — and there is
+			// no budget left to spend on a rescue.
 			return response{}, hedged, r.shardFailed(ctx, h, idx, ctx.Err())
 		}
 	}
+}
+
+// attempt runs attempt n of sub-query q synchronously in the calling
+// goroutine, on the shard's own worker or, when rh is non-nil, on that
+// replica's worker. It owns everything per attempt: the deadline —
+// min(ShardTimeout, remaining request budget) — the shard.attempt span,
+// and the wide event's ShardAttempt record. The record is made before
+// the outcome returns, so a winning attempt is already in the event when
+// the caller marks it; a cancelled loser records its cancellation, and a
+// loser drained after Finish is harmlessly dropped.
+func (r *Router) attempt(ctx context.Context, q *subQuery, n int, rh *replicaHandle) (response, error) {
+	actx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
+	defer cancel()
+	w, replicaID := r.shards[q.idx].worker, ""
+	spanLabels := []obs.Label{
+		obs.L("shard", strconv.Itoa(q.idx)),
+		obs.L("attempt", strconv.Itoa(n)),
+	}
+	if rh != nil {
+		w, replicaID = rh.w, rh.t.ID()
+		spanLabels = append(spanLabels, obs.L("replica", replicaID))
+	}
+	span := r.cfg.Tracer.Start(q.parent, spanShardAttempt, spanLabels...)
+	rb := reqlog.From(ctx)
+	var astart time.Time
+	if rb != nil {
+		astart = time.Now()
+	}
+	out, err := w.query(actx, q.partID, q.features, q.scatter, n)
+	if err == nil && rh != nil {
+		out.replica = true
+	}
+	span.End(err)
+	if rb != nil {
+		a := reqlog.ShardAttempt{
+			Shard: q.idx, Attempt: n, Hedged: n == 2, Replica: replicaID,
+			Breaker: q.bstate, Deadline: r.cfg.ShardTimeout, Duration: time.Since(astart),
+		}
+		if d, ok := ctx.Deadline(); ok {
+			a.Deadline = min(a.Deadline, d.Sub(astart))
+		}
+		if err != nil {
+			a.Err = err.Error()
+		}
+		rb.Attempt(a)
+	}
+	return out, err
 }
 
 // rescue is the last line of the degradation ladder: after the shard
@@ -541,7 +545,7 @@ func (r *Router) queryShard(ctx context.Context, parent *obs.Span, idx int, part
 // and never diverges (the replica holds an exact prefix of the primary's
 // history). Rescue success deliberately leaves the breaker and the stall
 // latch untouched — the primary shard is still broken.
-func (r *Router) rescue(ctx context.Context, parent *obs.Span, h *handle, idx int, partID string, features []string, scatter bool, bstate string) (response, bool) {
+func (r *Router) rescue(ctx context.Context, h *handle, q *subQuery) (response, bool) {
 	if ctx.Err() != nil {
 		return response{}, false
 	}
@@ -551,41 +555,18 @@ func (r *Router) rescue(ctx context.Context, parent *obs.Span, h *handle, idx in
 	}
 	const attempt = 3 // after the primary (1) and the hedge (2)
 	h.replicaReads.Inc()
-	actx, cancel := context.WithTimeout(ctx, r.cfg.ShardTimeout)
-	defer cancel()
-	span := r.cfg.Tracer.Start(parent, spanShardAttempt,
-		obs.L("shard", strconv.Itoa(idx)),
-		obs.L("attempt", strconv.Itoa(attempt)),
-		obs.L("replica", rh.t.ID()))
-	rb := reqlog.From(ctx)
-	var astart time.Time
-	if rb != nil {
-		astart = time.Now()
-	}
-	out, err := rh.w.query(actx, partID, features, scatter, attempt)
-	span.End(err)
-	if rb != nil {
-		a := reqlog.ShardAttempt{
-			Shard: idx, Attempt: attempt, Replica: rh.t.ID(),
-			Breaker: bstate, Deadline: r.cfg.ShardTimeout, Duration: time.Since(astart),
-		}
-		if err != nil {
-			a.Err = err.Error()
-		}
-		rb.Attempt(a)
-	}
+	out, err := r.attempt(ctx, q, attempt, rh)
 	if err != nil {
 		r.cfg.Logger.Warn("replica rescue failed",
-			obs.L("shard", strconv.Itoa(idx)),
+			obs.L("shard", strconv.Itoa(q.idx)),
 			obs.L("replica", rh.t.ID()),
 			obs.L("err", err.Error()))
 		return response{}, false
 	}
-	out.replica = true
 	out.stale = lag > r.cfg.MaxApplyLag
-	rb.MarkWinner(idx, attempt)
+	reqlog.From(ctx).MarkWinner(q.idx, attempt)
 	r.cfg.Logger.Warn("sub-query rescued by replica",
-		obs.L("shard", strconv.Itoa(idx)),
+		obs.L("shard", strconv.Itoa(q.idx)),
 		obs.L("replica", rh.t.ID()),
 		obs.L("stale", strconv.FormatBool(out.stale)))
 	return out, true

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kb"
+	"repro/internal/obs/flight"
 )
 
 // buildKB synthesizes a deterministic knowledge base: `bundles` training
@@ -169,5 +171,29 @@ func TestRouterHealth(t *testing.T) {
 	}
 	if r.Degraded() {
 		t.Error("fresh router reports degraded")
+	}
+}
+
+// TestClosedRouterRefusesQueries: a query after Close fails fast with
+// ErrShardClosed and is not mistaken for a shard failure — no failure
+// counts, no breaker movement, no flight triggers.
+func TestClosedRouterRefusesQueries(t *testing.T) {
+	e := newChaosEnv(t, nil)
+	e.router.Close()
+	for _, part := range []string{e.ownedPart, e.unknownPart} {
+		if _, err := e.query(t, part); !errors.Is(err, ErrShardClosed) {
+			t.Fatalf("query %s after Close: err = %v, want ErrShardClosed", part, err)
+		}
+	}
+	for _, h := range e.router.Health() {
+		if h.Failures != 0 || h.State != StateClosed {
+			t.Errorf("shard %d after closed-router queries: failures=%d state=%s, want 0 and %s",
+				h.ID, h.Failures, h.State, StateClosed)
+		}
+	}
+	for _, reason := range []string{flight.ReasonCircuitBreaker, flight.ReasonShardStall} {
+		if n := e.bundles(reason); n != 0 {
+			t.Errorf("%s flight bundles = %d, want 0", reason, n)
+		}
 	}
 }

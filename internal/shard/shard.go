@@ -1,14 +1,16 @@
 // Package shard is the sharded QUEST serving tier (ROADMAP item 2): the
-// knowledge base is partitioned by part ID into N in-process shard
-// workers, each owning its own store view and classifier state, behind a
-// Router that fans queries out, merges ranked lists deterministically, and
-// survives misbehaving shards. The paper's candidate selection (§4.3) keys
-// on part ID, so shard routing is free; what this package builds is the
+// knowledge base is partitioned by part ID into N in-process shards, each
+// owning its own store view and classifier state, behind a Router that
+// fans queries out, merges ranked lists deterministically, and survives
+// misbehaving shards. The paper's candidate selection (§4.3) keys on part
+// ID, so shard routing is free; what this package builds is the
 // robustness layer that makes the fan-out trustworthy — per-shard
 // deadlines derived from the request budget, hedged second attempts
 // (first-response-wins, loser cancelled via context), per-shard
 // consecutive-failure circuit breakers, and graceful degradation to
-// partial results marked `degraded`.
+// partial results marked `degraded`. Every attempt is one synchronous call
+// in its own goroutine; shards keep no serving pools a wedged attempt
+// could exhaust.
 package shard
 
 import (
@@ -16,7 +18,6 @@ import (
 	"errors"
 	"runtime/pprof"
 	"strconv"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/kb"
@@ -33,24 +34,10 @@ type FaultHook func(ctx context.Context, shard, attempt int) error
 // ErrShardClosed reports a query dispatched to a closed router.
 var ErrShardClosed = errors.New("shard: router closed")
 
-// request is one sub-query travelling from the router to a shard worker.
-type request struct {
-	//lint:ignore qatklint/ctxflow the sanctioned channel-request exception: the request struct is the call — it carries the caller's ctx across the worker channel for exactly one dispatch and is never retained
-	ctx      context.Context
-	partID   string
-	features []string
-	// scatter selects all-local-nodes ranking for parts no shard owns;
-	// owned mode answers only when the shard knows the part.
-	scatter bool
-	attempt int
-	resp    chan response // buffered (1): the worker never blocks on reply
-}
-
 // response is a shard worker's answer.
 type response struct {
 	nodes []core.ScoredNode
 	known bool
-	err   error
 	// replica marks an answer served by a read replica; stale additionally
 	// marks the replica as lagging beyond the router's MaxApplyLag bound
 	// when it answered.
@@ -59,10 +46,10 @@ type response struct {
 }
 
 // worker is one in-process serving unit: a store partition (or a shard's
-// live slice of a replica), its own classifier state, and a small pool of
-// serving goroutines pulled from one request channel — so a wedged
-// request occupies one goroutine while the hedged attempt proceeds on
-// another. Routers also run one worker per shard x replica over the
+// live slice of a replica) and its own classifier state. It owns no
+// goroutines — an attempt is one synchronous call (query) in the
+// goroutine that dispatches it, so a wedged attempt never holds up a
+// hedge. Routers also run one worker per shard x replica over the
 // replica's live view; those carry the replica marker for pprof role
 // attribution.
 type worker struct {
@@ -70,110 +57,56 @@ type worker struct {
 	idStr   string // pre-rendered for pprof labels
 	replica bool   // serving a replica slice, not a primary partition
 	clf     *core.Classifier
-	reqs    chan request
 	hook    FaultHook
-	quit    chan struct{}
-	closeMu sync.Once
 }
 
-// newWorker builds and starts one shard with `pool` serving goroutines.
-func newWorker(id int, store kb.Store, pool int, hook FaultHook) *worker {
-	w := &worker{
-		id:    id,
-		idStr: strconv.Itoa(id),
-		clf:   core.New(store, core.Jaccard{}),
-		reqs:  make(chan request),
-		hook:  hook,
-		quit:  make(chan struct{}),
-	}
-	for i := 0; i < pool; i++ {
-		go w.loop()
-	}
-	return w
+// newWorker builds one shard over store.
+func newWorker(id int, store kb.Store, hook FaultHook) *worker {
+	return &worker{id: id, idStr: strconv.Itoa(id), clf: core.New(store, core.Jaccard{}), hook: hook}
 }
 
-// loop serves requests until the router closes.
-func (w *worker) loop() {
-	for {
-		select {
-		case <-w.quit:
-			return
-		case req := <-w.reqs:
-			w.serve(req)
-		}
-	}
-}
-
-// serve answers one request. The response channel is buffered, so the
-// send never blocks even when the caller has already given up. The work
-// runs under pprof labels (shard ID, primary vs hedge role) so CPU
-// profiles attribute serving time per shard and show what hedges cost.
-func (w *worker) serve(req request) {
-	if req.ctx.Err() != nil {
-		return // the caller's deadline already expired in the queue
-	}
+// query runs one attempt to completion. The work runs under pprof labels
+// (shard ID, primary vs hedge vs replica role) so CPU profiles attribute
+// serving time per shard and show what hedges cost. An attempt whose
+// context expired before it finished reports the context's error rather
+// than a late answer.
+func (w *worker) query(ctx context.Context, partID string, features []string, scatter bool, attempt int) (response, error) {
 	role := "primary"
 	switch {
 	case w.replica:
 		role = "replica"
-	case req.attempt > 1:
+	case attempt > 1:
 		role = "hedge"
 	}
-	pprof.Do(req.ctx, pprof.Labels("shard", w.idStr, "role", role), func(ctx context.Context) {
-		w.answer(ctx, req)
+	var out response
+	var err error
+	pprof.Do(ctx, pprof.Labels("shard", w.idStr, "role", role), func(ctx context.Context) {
+		out, err = w.answer(ctx, partID, features, scatter, attempt)
 	})
+	if err == nil && ctx.Err() != nil {
+		return response{}, ctx.Err()
+	}
+	return out, err
 }
 
-// answer produces the response for one labeled request.
-func (w *worker) answer(ctx context.Context, req request) {
+// answer produces the response for one labeled attempt. scatter selects
+// all-local-nodes ranking for parts no shard owns; owned mode answers
+// only when the shard knows the part.
+func (w *worker) answer(ctx context.Context, partID string, features []string, scatter bool, attempt int) (response, error) {
 	if w.hook != nil {
-		if err := w.hook(ctx, w.id, req.attempt); err != nil {
-			req.resp <- response{err: err}
-			return
+		if err := w.hook(ctx, w.id, attempt); err != nil {
+			return response{}, err
 		}
 	}
-	known := w.clf.Store.KnownPart(req.partID)
-	if !req.scatter && !known {
+	known := w.clf.Store.KnownPart(partID)
+	if !scatter && !known {
 		// Owned mode on a part this shard does not hold: report it so the
 		// router falls back to a scatter query, instead of ranking every
 		// local node against a part the shard was never asked to own.
-		req.resp <- response{known: false}
-		return
+		return response{known: false}, nil
 	}
 	// The stage clock rides the request context from the quest middleware;
 	// nil (request logging off) makes the classifier's timing free.
 	sc := reqlog.ClockFrom(ctx)
-	req.resp <- response{nodes: w.clf.RecommendNodesTimed(sc, req.partID, req.features), known: known}
+	return response{nodes: w.clf.RecommendNodesTimed(sc, partID, features), known: known}, nil
 }
-
-// query dispatches one attempt and waits for the answer or the attempt
-// context's expiry.
-func (w *worker) query(ctx context.Context, partID string, features []string, scatter bool, attempt int) (response, error) {
-	req := request{
-		ctx: ctx, partID: partID, features: features,
-		scatter: scatter, attempt: attempt,
-		resp: make(chan response, 1),
-	}
-	select {
-	case w.reqs <- req:
-	case <-ctx.Done():
-		return response{}, ctx.Err()
-	case <-w.quit:
-		return response{}, ErrShardClosed
-	}
-	select {
-	case out := <-req.resp:
-		if out.err != nil {
-			return response{}, out.err
-		}
-		return out, nil
-	case <-ctx.Done():
-		return response{}, ctx.Err()
-	case <-w.quit:
-		return response{}, ErrShardClosed
-	}
-}
-
-// close stops the worker pool; idempotent. In-flight attempts finish on
-// their own deadlines (a wedged hook is released by its attempt context).
-func (w *worker) close() { w.closeMu.Do(func() { close(w.quit) }) }
